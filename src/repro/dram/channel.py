@@ -93,6 +93,7 @@ class Channel:
         if not self.can_accept():
             raise DramProtocolError("channel queue overflow")
         request.arrival_cycle = now
+        request.mapped = self.geometry.map_address(request.byte_addr)
         self.queue.append(request)
 
     def tick(self, now: int) -> None:
@@ -105,7 +106,7 @@ class Channel:
         self.queue.remove(choice)
         if self.on_dequeue is not None:
             self.on_dequeue()
-        _, bank_id, row, _ = self.geometry.map_address(choice.byte_addr)
+        _, bank_id, row, _ = choice.mapped
         bank = self.banks[bank_id]
         hit = bank.is_hit(row)
         empty = bank.open_row is None
@@ -174,7 +175,7 @@ class Channel:
         skip_horizon = now + self.timing.busy_skip_cycles
         issuable = []
         for request in self.queue:
-            _, bank_id, row, _ = self.geometry.map_address(request.byte_addr)
+            _, bank_id, row, _ = request.mapped
             bank = self.banks[bank_id]
             if bank.ready_at > skip_horizon:
                 continue  # bank deeply busy; skip this cycle

@@ -42,6 +42,13 @@ class DramModel:
         self._tenant_counts: Dict[int, Dict[str, int]] = {}
         self._callbacks: Dict[int, Callable[[DramRequest], None]] = {}
         self._completed: List[DramRequest] = []
+        #: earliest complete_cycle among undelivered requests (None when
+        #: nothing is in flight): ``deliver`` is a no-op before it
+        self.next_due: Optional[int] = None
+        #: submitted but not yet delivered (queued + in flight)
+        self._inflight = 0
+        #: requests waiting in channel queues (not yet issued)
+        self.queued = 0
 
     def attach_trace(self, tracer, tenant: Optional[int] = None) -> None:
         """Register every channel as an event track on ``tracer``.
@@ -88,6 +95,8 @@ class DramModel:
         """Enqueue one burst request (stamped with the current tenant)."""
         channel = self.channels[self.channel_of(request.byte_addr)]
         channel.submit(request, self.cycle)
+        self._inflight += 1
+        self.queued += 1
         if request.is_write:
             self.writes += 1
         else:
@@ -109,10 +118,20 @@ class DramModel:
     def tick(self) -> None:
         """Advance the memory system one core cycle."""
         self.cycle += 1
+        if not self._inflight:
+            return
         for channel in self.channels:
-            channel.tick(self.cycle)
-            for request in channel.drain_completed():
-                self._completed.append(request)
+            # an empty queue ticks as a no-op, and only a tick issues
+            # (completes) requests
+            if channel.queue:
+                channel.tick(self.cycle)
+                if channel.completed:
+                    for request in channel.drain_completed():
+                        self.queued -= 1
+                        self._completed.append(request)
+                        due = request.complete_cycle
+                        if self.next_due is None or due < self.next_due:
+                            self.next_due = due
 
     def next_completion(self) -> Optional[int]:
         """Cycle of the earliest undelivered completion (None if none).
@@ -121,9 +140,7 @@ class DramModel:
         requests have no completion cycle until the FR-FCFS scheduler
         issues them.
         """
-        if not self._completed:
-            return None
-        return min(r.complete_cycle for r in self._completed)
+        return self.next_due
 
     def advance_to(self, cycle: int) -> None:
         """Fast-forward the memory clock across provably idle cycles.
@@ -140,10 +157,15 @@ class DramModel:
         Completions are buffered until their ``complete_cycle`` passes,
         then returned (and callbacks fired) exactly once.
         """
+        if self.next_due is None or self.next_due > self.cycle:
+            return []
         ready = [r for r in self._completed
                  if r.complete_cycle <= self.cycle]
         self._completed = [r for r in self._completed
                            if r.complete_cycle > self.cycle]
+        self.next_due = min((r.complete_cycle for r in self._completed),
+                             default=None)
+        self._inflight -= len(ready)
         for request in ready:
             if request.tenant is not None:
                 counts = self._tenant_counts.get(request.tenant)
@@ -157,14 +179,12 @@ class DramModel:
     @property
     def idle(self) -> bool:
         """True when no work is queued or in flight."""
-        return (not self._completed
-                and all(not c.queue for c in self.channels))
+        return not self._inflight
 
     @property
     def pending(self) -> int:
         """Requests queued across all channels plus undelivered ones."""
-        return (sum(c.pending for c in self.channels)
-                + len(self._completed))
+        return self._inflight
 
     def stats(self) -> dict:
         """Aggregate statistics across channels."""

@@ -27,6 +27,10 @@ class DramRequest:
     #: time; None outside multi-tenant runs).  Drives per-tenant
     #: bandwidth accounting and interference attribution.
     tenant: Optional[int] = None
+    #: (channel, bank, row, column) of ``byte_addr``, filled once by the
+    #: owning channel at submit (FR-FCFS consults it every cycle)
+    mapped: Optional[tuple] = field(default=None, compare=False,
+                                    repr=False)
 
     @property
     def done(self) -> bool:

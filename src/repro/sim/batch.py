@@ -29,8 +29,8 @@ cycle-exactness:
   groups, so ``banks`` overrides still reshape every stall.
 * Followers step **jointly**: each instance's scheduler runs as a
   resumable span generator, and the driver always resumes the instance
-  with the smallest next-wake cycle (a numpy masked argmin over the
-  per-instance wake array, retired instances masked out).
+  with the smallest next-wake cycle (a heap of ``(wake, index)``;
+  retired instances simply leave it).
 
 Per-instance ``SimStats``, memory images, and stall attribution are
 bit-identical to N sequential ``Machine.run`` calls; the equivalence
@@ -41,7 +41,9 @@ gracefully: its cohort's remaining members fall back to full solo runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -50,11 +52,11 @@ import numpy as np
 from repro.dhdl.ir import InnerCompute
 from repro.dram.model import DramModel
 from repro.errors import ConfigError, DeadlockError, SimulationError
-from repro.patterns.collections import _np_dtype
 from repro.sim.leaves import InnerComputeSim
 from repro.sim.machine import Machine
 from repro.sim.scheduler import SCHEDULER_MODES
 from repro.sim.stats import SimStats
+from repro.trace.events import EventKind
 
 #: overrides that only change *when* things happen, never *what* values
 #: the datapath computes — cohort members may differ in these freely
@@ -199,26 +201,60 @@ class _ActivationLog:
 
     def __init__(self):
         self.batches: List[_RawBatch] = []
-        self.finish: Optional[list] = None
+        self.finish: Optional[_FrozenBatch] = None
 
 
 class _FrozenBatch:
     """One vector issue's effects in columnar (struct-of-arrays) form."""
 
     __slots__ = ("lanes", "sram", "regs", "emits", "reads", "writes",
-                 "price_memo")
+                 "price_memo", "writes_state")
 
     def __init__(self, lanes, sram, regs, emits, reads, writes):
         self.lanes = lanes
+        #: False when the issue only priced reads (nothing to apply)
+        self.writes_state = bool(sram or regs or emits)
         #: per scratchpad: (name, flat addrs int64[], values dtype[], wm)
         self.sram = sram
         self.regs = regs
         self.emits = emits
         self.reads = reads
         self.writes = writes
-        #: (kind, group index, banks) -> conflict cost, shared by every
-        #: follower pricing this issue (pure in addrs + banking config)
+        #: banks -> priced issue, shared by every follower with that
+        #: banking (the cost is pure in the addresses and banking)
         self.price_memo: dict = {}
+
+    def priced(self, scratchpads, banks: int):
+        """``(extra, per-scratchpad totals)`` for one banking, where a
+        total is ``(name, reads, writes, conflict cycles)``."""
+        hit = self.price_memo.get(banks)
+        if hit is not None:
+            return hit
+        extra = 0
+        totals: Dict[str, list] = {}
+        for name, words, cost, is_write in self.group_costs(scratchpads):
+            tally = totals.setdefault(name, [name, 0, 0, 0])
+            tally[2 if is_write else 1] += words
+            tally[3] += cost
+            if cost > extra:
+                extra = cost
+        hit = self.price_memo[banks] = (
+            extra, tuple(tuple(t) for t in totals.values()))
+        return hit
+
+    def group_costs(self, scratchpads):
+        """``(name, words, cost, is_write)`` per address group, in
+        pricing order (reads, then writes)."""
+        for name, addrs in self.reads:
+            yield name, len(addrs), scratchpads[name].read_extra(addrs), \
+                False
+        for name, addrs in self.writes:
+            yield name, len(addrs), scratchpads[name].write_extra(addrs), \
+                True
+
+
+def _columns(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _RawBatch:
@@ -233,70 +269,60 @@ class _RawBatch:
         self.writes = writes
         self._frozen: Optional[_FrozenBatch] = None
 
-    def frozen(self, mem_state) -> _FrozenBatch:
-        """Columnar form, built once and shared by all followers."""
+    def frozen(self) -> _FrozenBatch:
+        """Columnar form, built once and shared by all followers (the
+        raw events are dropped then)."""
         if self._frozen is None:
-            self._frozen = self._freeze(mem_state)
+            self._frozen = _freeze(self.events, self.lanes, self.reads,
+                                   self.writes)
+            self.events = self.reads = self.writes = None
         return self._frozen
 
-    def _freeze(self, mem_state) -> _FrozenBatch:
-        per_mem: Dict[str, dict] = {}
-        wm: Dict[str, int] = {}
-        regs = []
-        emits = []
-        for ev in self.events:
-            kind = ev[0]
-            if kind == "s":            # SRAM write (tracks watermark)
-                _, name, flat, value = ev
-                bucket = per_mem.get(name)
-                if bucket is None:
-                    bucket = per_mem[name] = {}
-                bucket[flat] = value
-                if flat > wm.get(name, -1):
-                    wm[name] = flat
-            elif kind == "h":          # hash-table write (no watermark)
-                _, name, key, value = ev
-                bucket = per_mem.get(name)
-                if bucket is None:
-                    bucket = per_mem[name] = {}
-                bucket[key] = value
-            elif kind == "r":
-                regs.append((ev[1], ev[2]))
-            else:                      # "e"
-                emits.append((ev[1], ev[2]))
-        sram = []
-        for name, bucket in per_mem.items():
-            # duplicate addresses already collapsed last-write-wins by
-            # the dict, so the vectorized fancy assignment is exact
-            dtype = _np_dtype(mem_state.scratchpads[name].sram.dtype)
-            flats = np.fromiter(bucket.keys(), dtype=np.int64,
-                                count=len(bucket))
-            values = np.array([dtype(v) for v in bucket.values()],
-                              dtype=dtype)
-            sram.append((name, flats, values, wm.get(name, -1)))
-        return _FrozenBatch(self.lanes, tuple(sram), tuple(regs),
-                            tuple(emits), self.reads, self.writes)
+
+def _freeze(events, lanes=0, reads=(), writes=()) -> _FrozenBatch:
+    """Concatenate logged vector effects per memory (event order kept,
+    so duplicate addresses still resolve last-write-wins)."""
+    per_mem: Dict[str, tuple] = {}
+    wm: Dict[str, int] = {}
+    regs = []
+    emits = []
+    for ev in events:
+        kind = ev[0]
+        if kind == "s" or kind == "h":
+            _, name, flats, values = ev
+            cols = per_mem.get(name)
+            if cols is None:
+                cols = per_mem[name] = ([], [])
+            cols[0].append(flats)
+            cols[1].append(values)
+            if kind == "s":        # SRAM writes track the watermark
+                top = int(flats.max())
+                if top > wm.get(name, -1):
+                    wm[name] = top
+        elif kind == "r":
+            regs.append((ev[1], ev[2]))
+        else:                      # "e"
+            emits.append((ev[1], ev[2]))
+    sram = tuple((name, _columns(flats), _columns(values),
+                  wm.get(name, -1))
+                 for name, (flats, values) in per_mem.items())
+    return _FrozenBatch(lanes, sram, tuple(regs), tuple(emits), reads,
+                        writes)
 
 
 class _ReplayEnumerator:
     """Stand-in for ChainEnumerator: yields the recorded batches."""
 
-    __slots__ = ("_batches", "_i")
+    __slots__ = ("next_batch",)
 
     def __init__(self, batches):
-        self._batches = batches
-        self._i = 0
-
-    def next_batch(self) -> Optional[_RawBatch]:
-        if self._i >= len(self._batches):
-            return None
-        batch = self._batches[self._i]
-        self._i += 1
-        return batch
+        #: the next recorded batch, or None when exhausted
+        self.next_batch = functools.partial(next, iter(batches), None)
 
 
 class _RecordingInnerComputeSim(InnerComputeSim):
-    """The leader's inner compute: normal execution + effect logging."""
+    """The leader's inner compute: normal execution + effect logging
+    through the vector effect primitives."""
 
     def __init__(self, leaf, config, mem, stats, fifos, log):
         super().__init__(leaf, config, mem, stats, fifos)
@@ -324,31 +350,29 @@ class _RecordingInnerComputeSim(InnerComputeSim):
 
     def _price(self, read_accesses, write_addrs):
         self._last_reads = tuple(
-            (name, tuple(addrs))
-            for (name, _site), addrs in read_accesses.items())
-        self._last_writes = tuple(
-            (name, tuple(addrs)) for name, addrs in write_addrs.items())
+            (name, addrs) for (name, _site), addrs in read_accesses.items())
+        self._last_writes = tuple(write_addrs.items())
         return super()._price(read_accesses, write_addrs)
 
     def _apply_finals(self):
         self._sink = []
         super()._apply_finals()
-        self._act.finish = self._sink
+        self._act.finish = _freeze(self._sink)
 
-    def _write_sram(self, ctx, mem, idxs, value):
-        flat = super()._write_sram(ctx, mem, idxs, value)
-        self._sink.append(("s", mem.name, flat, value))
-        return flat
+    def _write_sram(self, scratch, version, flats, values):
+        super()._write_sram(scratch, version, flats, values)
+        self._sink.append(("s", scratch.sram.name, flats, values))
 
-    def _write_reg(self, ctx, mem, value):
-        super()._write_reg(ctx, mem, value)
-        self._sink.append(("r", mem.name, value))
+    def _write_reg(self, reg, value):
+        super()._write_reg(reg, value)
+        self._sink.append(("r", reg.name, value))
 
-    def _hash_store(self, mem, buf, key, value):
-        super()._hash_store(mem, buf, key, value)
-        # record the post-assignment cell: it carries the exact dtype
+    def _hash_store(self, scratch, buf, keys, values):
+        super()._hash_store(scratch, buf, keys, values)
+        # record the post-assignment cells: they carry the exact dtype
         # cast the replayed assignment must reproduce
-        self._sink.append(("h", mem.name, int(key), buf.flat[key]))
+        self._sink.append(("h", scratch.sram.name, keys,
+                           buf.reshape(-1)[keys]))
 
     def _emit_values(self, fifo, values):
         super()._emit_values(fifo, values)
@@ -378,72 +402,57 @@ class _ReplayInnerComputeSim(InnerComputeSim):
         self._accs = {}
         self._enum = _ReplayEnumerator(self._act.batches)
 
-    def _execute(self, batch):
-        rec = batch.frozen(self.mem)
-        if not self._check_fifo_room(rec.lanes):
-            return None
+    def _apply(self, rec: _FrozenBatch) -> None:
         version = self._version
-        scratchpads = self.mem.scratchpads
-        for name, flats, values, wm in rec.sram:
-            scratch = scratchpads[name]
-            buf = scratch.buffer(version)
-            buf.reshape(-1)[flats] = values
-            if wm >= 0:
-                scratch.note_write(version, wm)
-        registers = self.mem.registers
-        for name, value in rec.regs:
-            registers[name].write(value)
-        fifos = self.fifos
-        for name, values in rec.emits:
-            fifos[name].push(list(values))
+        if rec.sram:
+            scratchpads = self.mem.scratchpads
+            for name, flats, values, wm in rec.sram:
+                scratch = scratchpads[name]
+                scratch.buffer(version).reshape(-1)[flats] = values
+                if wm >= 0:
+                    scratch.note_write(version, wm)
+        if rec.regs:
+            registers = self.mem.registers
+            for name, value in rec.regs:
+                registers[name].write(value)
+        if rec.emits:
+            fifos = self.fifos
+            for name, values in rec.emits:
+                fifos[name].push(list(values))
+
+    def _execute(self, batch):
+        rec = batch._frozen or batch.frozen()
+        if self._emit_demand and not self._check_fifo_room(rec.lanes):
+            return None
+        if rec.writes_state:
+            self._apply(rec)
         # conflict pricing is *not* replayed: it is recomputed from the
         # recorded address groups against this instance's banking, so a
         # banks override reshapes every stall exactly as a solo run
-        # (memoized per banks value — the cost is pure in the addresses
-        # and banking config, only the counter charges are per instance)
-        extra = 0
-        memo = rec.price_memo
-        for gi, (name, addrs) in enumerate(rec.reads):
+        # (memoized per banks value — only the counter charges are per
+        # instance, applied per scratchpad)
+        scratchpads = self.mem.scratchpads
+        priced = rec.price_memo.get(self.mem.banks) \
+            or rec.priced(scratchpads, self.mem.banks)
+        extra, totals = priced
+        for name, reads, writes, conflicts in totals:
             scratch = scratchpads[name]
-            key = (0, gi, scratch.banks)
-            cost = memo.get(key)
-            if cost is None:
-                cost = memo[key] = scratch.read_extra(addrs)
-            scratch.account_read(len(addrs), cost)
-            if cost > extra:
-                extra = cost
-        for gi, (name, addrs) in enumerate(rec.writes):
-            scratch = scratchpads[name]
-            key = (1, gi, scratch.banks)
-            cost = memo.get(key)
-            if cost is None:
-                cost = memo[key] = scratch.write_extra(addrs)
-            scratch.account_write(len(addrs), cost)
-            if cost > extra:
-                extra = cost
-        self.stats.conflict_cycles += extra
+            scratch.reads += reads
+            scratch.writes += writes
+            scratch.conflict_cycles += conflicts
+        if extra:
+            if self.trace is not None:
+                for name, words, cost, _ in rec.group_costs(scratchpads):
+                    if cost:
+                        self.trace.emit(EventKind.BANK_CONFLICT, name,
+                                        (cost, words))
+            self.stats.conflict_cycles += extra
         self.stats.ops_executed += self._ops_per_lane * rec.lanes
         return extra
 
     def _apply_finals(self):
-        version = self._version
-        for ev in self._act.finish or ():
-            kind = ev[0]
-            if kind == "s":
-                _, name, flat, value = ev
-                scratch = self.mem.scratchpads[name]
-                buf = scratch.buffer(version)
-                buf.reshape(-1)[flat] = _np_dtype(
-                    scratch.sram.dtype)(value)
-                scratch.note_write(version, flat)
-            elif kind == "r":
-                self.mem.registers[ev[1]].write(ev[2])
-            elif kind == "h":
-                _, name, key, value = ev
-                buf = self.mem.scratchpads[name].buffer(version)
-                buf.flat[key] = value
-            else:
-                self.fifos[ev[1]].push(list(ev[2]))
+        if self._act.finish is not None:
+            self._apply(self._act.finish)
 
 
 class _RecordingMachine(Machine):
@@ -536,28 +545,20 @@ def _spans_for(machine: Machine, mode: str):
 def _drive_jointly(jobs: List[Tuple[InstanceResult, Machine]],
                    mode: str) -> None:
     """Step many instances together, always resuming the one with the
-    smallest next-wake cycle; retired/errored instances are masked out
-    of the wake array."""
-    n = len(jobs)
-    if n == 0:
-        return
+    smallest next-wake cycle (lowest index on ties); retired/errored
+    instances leave the heap."""
     gens = [_spans_for(machine, mode) for _, machine in jobs]
-    next_wake = np.zeros(n, dtype=np.int64)
-    live = np.ones(n, dtype=bool)
-    retired = np.iinfo(np.int64).max
-    while True:
-        masked = np.where(live, next_wake, retired)
-        i = int(np.argmin(masked))
-        if masked[i] == retired:
-            break
+    heap = [(0, i) for i in range(len(jobs))]
+    while heap:
+        _, i = heap[0]
         slot, machine = jobs[i]
         try:
-            next_wake[i] = next(gens[i])
+            heapq.heapreplace(heap, (next(gens[i]), i))
         except StopIteration:
-            live[i] = False
+            heapq.heappop(heap)
             slot.stats = machine.stats
         except (SimulationError, DeadlockError) as err:
-            live[i] = False
+            heapq.heappop(heap)
             slot.error = f"{type(err).__name__}: {err}"
 
 

@@ -2,14 +2,16 @@
 
 A :class:`ChainEnumerator` walks a (possibly data-dependent) counter chain
 lazily, producing one *vector batch* per call: the current values of all
-outer counters plus up to ``par`` consecutive innermost values (the SIMD
-lanes issued in one cycle).  Bounds expressions are re-evaluated whenever
+outer counters plus an array of up to ``par`` consecutive innermost
+values (the SIMD lanes issued in one cycle).  Bounds expressions are re-evaluated whenever
 the dims they depend on advance, matching the PMU/PCU counter hardware.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro.dhdl.ir import CounterChain
 from repro.errors import SimulationError
@@ -17,18 +19,20 @@ from repro.patterns import expr as E
 
 
 class Batch:
-    """One vector issue: shared outer bindings + per-lane inner values."""
+    """One vector issue: shared outer bindings + the innermost index's
+    lane values (``inner``, an int64 array)."""
 
-    __slots__ = ("lane_bindings", "outer")
+    __slots__ = ("outer", "index", "inner")
 
-    def __init__(self, lane_bindings: List[dict], outer: dict):
-        self.lane_bindings = lane_bindings
+    def __init__(self, outer: dict, index: E.Idx, inner: np.ndarray):
         self.outer = outer
+        self.index = index
+        self.inner = inner
 
     @property
     def lanes(self) -> int:
         """Active lanes in this issue."""
-        return len(self.lane_bindings)
+        return self.inner.shape[0]
 
 
 class ChainEnumerator:
@@ -116,27 +120,25 @@ class ChainEnumerator:
         inner = depth - 1
         counter = self.chain.counters[inner]
         outer = self._bindings_upto(inner)
-        lanes = []
         value = self._cur[inner]
-        for _ in range(counter.par):
-            if value >= self._hi[inner]:
-                break
-            if self._emitted + len(lanes) >= self.max_total:
-                # trip before the over-limit batch exists: a runaway
-                # data-dependent bound must not commit partial state
-                raise SimulationError(
-                    "counter chain exceeded max_total="
-                    f"{self.max_total} iterations; runaway dynamic "
-                    "bound?")
-            lane = dict(outer)
-            lane[self.chain.indices[inner]] = value
-            lanes.append(lane)
-            value += counter.step
-        self._emitted += len(lanes)
+        hi = self._hi[inner]
+        count = 0
+        if value < hi:
+            count = min(counter.par, -(-(hi - value) // counter.step))
+        if self._emitted + count > self.max_total:
+            # trip before the over-limit batch exists: a runaway
+            # data-dependent bound must not commit partial state
+            raise SimulationError(
+                "counter chain exceeded max_total="
+                f"{self.max_total} iterations; runaway dynamic "
+                "bound?")
+        self._emitted += count
+        end = value + count * counter.step
         # position after the batch; wrap into outer dims when exhausted
-        self._cur[inner] = value
-        if value >= self._hi[inner]:
+        self._cur[inner] = end
+        if end >= hi:
             self._advance(inner - 1)
-        if not lanes:
+        if not count:
             return self.next_batch()
-        return Batch(lanes, outer)
+        lanes = np.arange(value, end, counter.step, dtype=np.int64)
+        return Batch(outer, self.chain.indices[inner], lanes)

@@ -15,6 +15,19 @@ from repro.errors import SimulationError
 from repro.trace.events import EventKind
 
 
+class Progress:
+    """Running totals a machine's deadlock watchdog compares each cycle
+    (kept incrementally, so no per-cycle sums over every unit)."""
+
+    __slots__ = ("fifo_flow", "completed")
+
+    def __init__(self):
+        #: words pushed + popped across the machine's FIFOs
+        self.fifo_flow = 0
+        #: child completions across the machine's outer controllers
+        self.completed = 0
+
+
 class FifoSim:
     """Runtime state of one FIFO declaration."""
 
@@ -33,6 +46,8 @@ class FifoSim:
         #: attached by the event scheduler: notified on every state
         #: change so units parked on this FIFO can be re-armed
         self.sched = None
+        #: shared with the owning machine's watchdog
+        self.progress = Progress()
 
     @property
     def size(self) -> int:
@@ -62,6 +77,7 @@ class FifoSim:
             raise SimulationError(f"FIFO {self.decl.name!r} overflow")
         self.items.extend(values)
         self.pushed += len(values)
+        self.progress.fifo_flow += len(values)
         if self.trace is not None:
             self.trace.emit(EventKind.FIFO_PUSH, self.decl.name,
                             (len(values), len(self.items)))
@@ -74,6 +90,7 @@ class FifoSim:
         while self.items and len(out) < count:
             out.append(self.items.popleft())
         self.popped += len(out)
+        self.progress.fifo_flow += len(out)
         if out and self.trace is not None:
             self.trace.emit(EventKind.FIFO_POP, self.decl.name,
                             (len(out), len(self.items)))

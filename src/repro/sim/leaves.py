@@ -18,16 +18,16 @@ import numpy as np
 
 from repro.dhdl.ir import (EmitStmt, Gather, HashReduceStmt, InnerCompute,
                            ReduceStmt, Scatter, StreamStore, TileLoad,
-                           TileStore, WriteStmt)
-from repro.dhdl.memory import Reg, Sram
+                           TileStore)
+from repro.dhdl.memory import Reg
 from repro.dram.model import DramModel
 from repro.dram.request import DramRequest
 from repro.errors import SimulationError
-from repro.patterns import expr as E
 from repro.patterns.collections import _np_dtype
 from repro.sim.config import FabricConfig
 from repro.sim.counters import Batch, ChainEnumerator
-from repro.sim.datapath import LaneContext
+from repro.sim.datapath import (LaneContext, as_lanes, body_kernel,
+                                scalar_at, store_sram)
 from repro.sim.dram_image import DramImage
 from repro.sim.fifo import FifoSim
 from repro.sim.scheduler import Park
@@ -87,7 +87,7 @@ class InnerComputeSim(_LeafCommon):
     """One inner dataflow pipeline (a chain of physical PCUs).
 
     Per cycle it issues one vector of up to ``lanes`` innermost indices,
-    evaluates every statement for each lane, and charges bank-conflict
+    runs the body's datapath kernel over them, and charges bank-conflict
     and FIFO-backpressure stalls.  Completion waits for the pipeline to
     drain (``pipeline_depth`` extra cycles).
     """
@@ -105,14 +105,14 @@ class InnerComputeSim(_LeafCommon):
         self._stall_until = 0
         self._drain_until = 0
         self._pending: Optional[Batch] = None
-        # reduce accumulators: stmt index -> {key: (bindings, value)}
-        self._accs: Dict[int, Dict[Tuple, Tuple[dict, object]]] = {}
+        # reduce accumulators: stmt index -> {key: (snapshot, values)}
+        self._accs: Dict[int, Dict[Tuple, Tuple[tuple, list]]] = {}
         self._version: tuple = ()
-        # the statement list is frozen at construction, so the op count
-        # per lane and the per-lane FIFO word demand are constants
-        self._ops_per_lane = sum(E.count_ops(root)
-                                 for stmt in leaf.stmts
-                                 for root in stmt.exprs())
+        # compiled once per leaf and shared by every machine built from
+        # the same artifact
+        self._kernel = body_kernel(leaf)
+        self._ops_per_lane = self._kernel.ops_per_lane
+        # the per-lane FIFO word demand is a constant of the body
         demand: Dict[str, int] = {}
         for stmt in leaf.stmts:
             if isinstance(stmt, EmitStmt):
@@ -140,12 +140,13 @@ class InnerComputeSim(_LeafCommon):
 
     def _begin_body(self, bindings: dict, version) -> None:
         """Set up evaluation state for one activation (overridden by the
-        batch record/replay leaves)."""
-        self._ctx_cur = self._ctx(version)
-        ctx = self._ctx_cur
+        batch replay leaf)."""
+        self._ctx_cur = ctx = LaneContext(self.mem, version)
 
         def evaluate(expr, bnd):
-            return ctx.eval(expr, bnd, {})
+            # counter-bound loads join the pending access groups, priced
+            # by the next vector issue
+            return ctx.eval(expr, bnd)
 
         self._enum = ChainEnumerator(self.leaf.chain, evaluate, bindings)
         self._accs = {k: {} for k, s in enumerate(self.leaf.stmts)
@@ -212,8 +213,10 @@ class InnerComputeSim(_LeafCommon):
             return
         # the issue cycle itself; conflict serialisation cycles charge
         # themselves one by one in the stall branch above
-        self.stats.busy(self.name)
-        self.stats.vector_issues += 1
+        stats = self.stats
+        busy = stats.busy_cycles
+        busy[self.name] = busy.get(self.name, 0) + 1
+        stats.vector_issues += 1
         if trace is not None:
             trace.mark(self.name, StallCause.BUSY)
             trace.emit(EventKind.ISSUE, self.name, (batch.lanes, extra))
@@ -229,32 +232,19 @@ class InnerComputeSim(_LeafCommon):
 
     # -- body execution ---------------------------------------------------------------
     def _execute(self, batch: Batch) -> Optional[int]:
-        """Run all statements for one vector batch.
+        """Run the body kernel for one vector batch.
 
         Returns the extra stall cycles, or None if an EmitStmt found its
         FIFO full (the batch must be retried unchanged).
         """
-        ctx = self._ctx_cur
         # pre-check FIFO room for the worst case (all lanes emit);
         # demand is summed per FIFO — several EmitStmts feeding the same
         # FIFO each need batch.lanes words, and checking them one at a
         # time would pass with room for only one statement's worth
         if not self._check_fifo_room(batch.lanes):
             return None
-
-        write_addrs: Dict[str, List[int]] = {}
-        lane_caches = [dict() for _ in batch.lane_bindings]
-        for si, stmt in enumerate(self.leaf.stmts):
-            if isinstance(stmt, WriteStmt):
-                self._do_write(stmt, batch, ctx, lane_caches, write_addrs)
-            elif isinstance(stmt, ReduceStmt):
-                self._do_reduce(si, stmt, batch, ctx, lane_caches)
-            elif isinstance(stmt, HashReduceStmt):
-                self._do_hash(stmt, batch, ctx, lane_caches, write_addrs)
-            elif isinstance(stmt, EmitStmt):
-                self._do_emit(stmt, batch, ctx, lane_caches)
-            else:
-                raise SimulationError(f"unknown stmt {stmt!r}")
+        ctx = self._ctx_cur
+        write_addrs = ctx.eval(self._kernel, batch.outer, batch.inner, self)
         extra = self._price(ctx.reset_accesses(), write_addrs)
         self.stats.conflict_cycles += extra
         self.stats.ops_executed += self._ops_per_lane * batch.lanes
@@ -278,78 +268,37 @@ class InnerComputeSim(_LeafCommon):
         """Price the cycle: bank conflicts on reads and writes, per
         operand stream (each load site reads in its own stage)."""
         extra = 0
+        scratchpads = self.mem.scratchpads
         for (name, _site), addrs in read_accesses.items():
-            extra = max(extra, self.mem.scratchpads[name].read_cost(addrs))
+            cost = scratchpads[name].read_cost(addrs)
+            if cost > extra:
+                extra = cost
         for name, addrs in write_addrs.items():
-            extra = max(extra, self.mem.scratchpads[name].write_cost(addrs))
+            cost = scratchpads[name].write_cost(addrs)
+            if cost > extra:
+                extra = cost
         return extra
 
-    # effect-application primitives: every architecturally visible write
-    # funnels through one of these, so the batch recorder/replayer can
-    # intercept them without touching evaluation logic
-    def _write_sram(self, ctx, mem, idxs, value) -> int:
-        return ctx.write_sram(mem, idxs, value)
+    # vector effect primitives: every architecturally visible write a
+    # kernel performs funnels through one of these, so the batch
+    # recorder can log them in columnar form
+    def _write_sram(self, scratch, version, flats: np.ndarray,
+                    values: np.ndarray) -> None:
+        """Store lanes (duplicate addresses: the last lane wins)."""
+        buf = scratch.buffer(version)
+        buf.reshape(-1)[flats] = values
+        scratch.note_write(version, int(flats.max()))
 
-    def _write_reg(self, ctx, mem, value) -> None:
-        ctx.write_reg(mem, value)
+    def _write_reg(self, reg: Reg, value) -> None:
+        self.mem.reg(reg).write(value)
 
-    def _hash_store(self, mem, buf, key, value) -> None:
-        buf.flat[key] = value
+    def _hash_store(self, scratch, buf, keys: np.ndarray,
+                    values: np.ndarray) -> None:
+        """Store combined hash bins (distinct keys)."""
+        buf.reshape(-1)[keys] = values
 
     def _emit_values(self, fifo: FifoSim, values: List) -> None:
         fifo.push(values)
-
-    def _do_write(self, stmt: WriteStmt, batch, ctx, caches, write_addrs):
-        for lane, cache in zip(batch.lane_bindings, caches):
-            value = ctx.eval(stmt.value, lane, cache)
-            if isinstance(stmt.mem, Reg):
-                self._write_reg(ctx, stmt.mem, value)
-                continue
-            idxs = [int(ctx.eval(a, lane, cache)) for a in stmt.addr]
-            flat = self._write_sram(ctx, stmt.mem, idxs, value)
-            write_addrs.setdefault(stmt.mem.name, []).append(flat)
-
-    def _do_reduce(self, si: int, stmt: ReduceStmt, batch, ctx, caches):
-        accs = self._accs[si]
-        for lane, cache in zip(batch.lane_bindings, caches):
-            values = [ctx.eval(v, lane, cache) for v in stmt.values]
-            key: Tuple = tuple(int(ctx.eval(a, lane, cache))
-                               for a in stmt.addr)
-            prev = accs[key][1] if key in accs else list(stmt.inits)
-            cbind = dict(lane)
-            for k in range(stmt.width):
-                cbind[stmt.acc_a[k]] = prev[k]
-                cbind[stmt.acc_b[k]] = values[k]
-            ccache = {}
-            combined = [ctx.eval(c, cbind, ccache) for c in stmt.combines]
-            accs[key] = (lane, combined)
-
-    def _do_hash(self, stmt: HashReduceStmt, batch, ctx, caches,
-                 write_addrs):
-        for lane, cache in zip(batch.lane_bindings, caches):
-            key = int(ctx.eval(stmt.key, lane, cache))
-            value = ctx.eval(stmt.value, lane, cache)
-            scratch = self.mem.scratch(stmt.mem)
-            buf = scratch.buffer(self._version)
-            if key < 0 or key >= buf.size:
-                raise SimulationError(
-                    f"{self.name}: hash key {key} outside "
-                    f"[0, {buf.size})")
-            cbind = dict(lane)
-            cbind[stmt.acc_a] = buf.flat[key].item()
-            cbind[stmt.acc_b] = value
-            self._hash_store(stmt.mem, buf, key,
-                             ctx.eval(stmt.combine, cbind, {}))
-            write_addrs.setdefault(stmt.mem.name, []).append(key)
-
-    def _do_emit(self, stmt: EmitStmt, batch, ctx, caches):
-        fifo = self.fifos[stmt.fifo.name]
-        values = []
-        for lane, cache in zip(batch.lane_bindings, caches):
-            if ctx.eval(stmt.cond, lane, cache):
-                values.append(ctx.eval(stmt.value, lane, cache))
-        if values:
-            self._emit_values(fifo, values)
 
     # -- completion ---------------------------------------------------------------
     def _finish(self) -> None:
@@ -365,29 +314,42 @@ class InnerComputeSim(_LeafCommon):
         ctx = self._ctx_cur
         for si, accs in self._accs.items():
             stmt = self.leaf.stmts[si]
-            for key, (snapshot, values) in accs.items():
+            effect = self._kernel.plans[si].effect
+            for key, ((outer, index, value), values) in accs.items():
                 if stmt.carry:
-                    current = []
-                    for mem in stmt.mems:
-                        if isinstance(mem, Reg):
-                            current.append(self.mem.reg(mem).read())
-                        else:
-                            buf = self.mem.scratch(mem).read_buffer(
-                                self._version)
-                            current.append(buf[key].item())
-                    cbind = dict(snapshot)
-                    for k in range(stmt.width):
-                        cbind[stmt.acc_a[k]] = current[k]
-                        cbind[stmt.acc_b[k]] = values[k]
-                    ccache = {}
-                    values = [ctx.eval(c, cbind, ccache)
-                              for c in stmt.combines]
-                for mem, value in zip(stmt.mems, values):
+                    values = self._carry(ctx, stmt, effect, key, outer,
+                                         index, value, values)
+                for mem, result in zip(stmt.mems, values):
                     if isinstance(mem, Reg):
-                        self._write_reg(ctx, mem, value)
-                    else:
-                        self._write_sram(ctx, mem, list(key), value)
+                        self._write_reg(mem, result)
+                        continue
+                    exc = store_sram(ctx, self, mem,
+                                     [as_lanes(k) for k in key],
+                                     as_lanes(result), 1, 1)
+                    if exc is not None:
+                        raise exc
         ctx.reset_accesses()
+
+    def _carry(self, ctx, stmt, effect, key, outer, index, value, values):
+        """Combine an accumulator with the target's current contents."""
+        current = []
+        for mem in stmt.mems:
+            if isinstance(mem, Reg):
+                current.append(self.mem.reg(mem).read())
+            else:
+                buf = self.mem.scratch(mem).read_buffer(self._version)
+                current.append(buf[key].item())
+        bindings = {k: as_lanes(v) for k, v in outer.items()}
+        if index is not None:
+            bindings[index] = as_lanes(value)
+        for k in range(stmt.width):
+            bindings[stmt.acc_a[k]] = as_lanes(current[k])
+            bindings[stmt.acc_b[k]] = as_lanes(values[k])
+        with np.errstate(all="ignore"):
+            env, _, exc = effect.combine.run(ctx, bindings, 1)
+        if exc is not None:
+            raise exc
+        return [scalar_at(env.vals[r], 0) for r in effect.combine.roots]
 
 
 class _TransferCommon(_LeafCommon):
@@ -484,7 +446,7 @@ class TileLoadSim(_TransferCommon):
         self._active = True
         self._version = version
         ctx = self._ctx(version)
-        offsets = [int(ctx.eval(o, bindings, {})) for o in self.leaf.offsets]
+        offsets = [int(ctx.eval(o, bindings)) for o in self.leaf.offsets]
         self._spans = list(self._tile_spans(offsets))
         # ensure destination buffer exists even for fully-clipped tiles
         self.mem.scratch(self.leaf.sram).buffer(version)
@@ -599,10 +561,10 @@ class TileStoreSim(_TransferCommon):
         self._active = True
         self._version = version
         ctx = self._ctx(version)
-        offsets = [int(ctx.eval(o, bindings, {})) for o in self.leaf.offsets]
+        offsets = [int(ctx.eval(o, bindings)) for o in self.leaf.offsets]
         limit = None
         if self.leaf.count is not None:
-            limit = int(ctx.eval(self.leaf.count, bindings, {}))
+            limit = int(ctx.eval(self.leaf.count, bindings))
         loader = TileLoadSim.__new__(TileLoadSim)  # reuse span generator
         loader.leaf = self.leaf
         spans = list(TileLoadSim._tile_spans(loader, offsets))
@@ -680,7 +642,7 @@ class GatherSim(_TransferCommon):
         scratch = self.mem.scratch(self.leaf.addr_sram)
         addr_buf = scratch.read_buffer(version).reshape(-1)
         if self.leaf.count is not None:
-            count = int(ctx.eval(self.leaf.count, bindings, {}))
+            count = int(ctx.eval(self.leaf.count, bindings))
             count = min(count, addr_buf.size)
         else:
             # dynamic: gather exactly the addresses produced upstream
@@ -768,7 +730,7 @@ class ScatterSim(_TransferCommon):
             self.leaf.val_sram).read_buffer(version).reshape(-1)
         count = min(addr_buf.size, val_buf.size)
         if self.leaf.count is not None:
-            count = min(int(ctx.eval(self.leaf.count, bindings, {})), count)
+            count = min(int(ctx.eval(self.leaf.count, bindings)), count)
         else:
             produced = addr_scratch.watermark_for(version)
             if produced:
@@ -844,7 +806,7 @@ class StreamStoreSim(_TransferCommon):
     def start(self, bindings: dict, version: int) -> None:
         self._active = True
         ctx = self._ctx(version)
-        self._base_word = int(ctx.eval(self.leaf.base_offset, bindings, {}))
+        self._base_word = int(ctx.eval(self.leaf.base_offset, bindings))
         self._written = 0
         self._staging = []
 

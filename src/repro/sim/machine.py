@@ -23,7 +23,7 @@ from repro.dram.model import DramModel
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.config import FabricConfig
 from repro.sim.dram_image import DramImage, assign_bases
-from repro.sim.fifo import FifoSim
+from repro.sim.fifo import FifoSim, Progress
 from repro.sim.leaves import (GatherSim, InnerComputeSim, NodeSim,
                               ScatterSim, StreamStoreSim, TileLoadSim,
                               TileStoreSim)
@@ -73,6 +73,10 @@ class Machine:
         self.fifos: Dict[str, FifoSim] = {
             f.name: FifoSim(f, lanes=self.params.pcu.lanes)
             for f in dhdl.fifos}
+        #: watchdog totals, kept by the FIFOs and outer controllers
+        self.progress = Progress()
+        for fifo in self.fifos.values():
+            fifo.progress = self.progress
         self._leaves: List[NodeSim] = []
         self._outers: List[OuterControllerSim] = []
         self.root = self._build(dhdl.root)
@@ -101,6 +105,7 @@ class Machine:
             fifos_inside = self._fifos_inside(ctrl)
             sim = OuterControllerSim(ctrl, children, edges, self.mem,
                                      fifos_inside)
+            sim.progress = self.progress
             self._outers.append(sim)
             return sim
         sim = self._build_leaf(ctrl)
@@ -135,7 +140,14 @@ class Machine:
         raise SimulationError(f"unknown leaf {ctrl!r}")
 
     def _edges(self, ctrl: OuterController) -> List[DepEdge]:
-        """Producer->consumer edges among the children of one scope."""
+        """Producer->consumer edges among the children of one scope
+        (a function of the frozen program, cached on the controller)."""
+        edges = ctrl.__dict__.get("_edges")
+        if edges is None:
+            edges = ctrl.__dict__["_edges"] = self._scope_edges(ctrl)
+        return list(edges)
+
+    def _scope_edges(self, ctrl: OuterController) -> List[DepEdge]:
         reads = [_mem_reads(c) for c in ctrl.children]
         writes = [_mem_writes(c) for c in ctrl.children]
         edges: List[DepEdge] = []
@@ -251,11 +263,10 @@ class Machine:
             leaf.tick(cycle)
 
     def _progress_key(self) -> Tuple:
-        fifo_flow = sum(f.pushed + f.popped for f in self.fifos.values())
-        completed = sum(sum(o._completed) for o in self._outers)
         reads, writes, pending = self.dram.progress_counts(self.tenant)
+        progress = self.progress
         return (self.stats.vector_issues, reads, writes, pending,
-                fifo_flow, completed)
+                progress.fifo_flow, progress.completed)
 
     def _whoami(self) -> str:
         """Tenant + region prefix for deadlock/fault attribution."""

@@ -33,7 +33,7 @@ from repro.dhdl.ir import OuterController
 from repro.errors import SimulationError
 from repro.sim.counters import ChainEnumerator
 from repro.sim.datapath import LaneContext
-from repro.sim.fifo import FifoSim
+from repro.sim.fifo import FifoSim, Progress
 from repro.sim.leaves import NodeSim
 from repro.sim.scheduler import EMPTY_PARK, Park
 from repro.sim.scratchpad import MemoryState
@@ -95,6 +95,8 @@ class OuterControllerSim(NodeSim):
         self._live: List[_IterState] = []
         self._next_k = 0
         self._completed = [0] * len(self.children)
+        #: shared with the owning machine's watchdog
+        self.progress = Progress()
         self._stopped = False
         self._base_bindings: dict = {}
         # precompute per-child producer and consumer edges
@@ -124,13 +126,16 @@ class OuterControllerSim(NodeSim):
         self._base_version = tuple(version)
         self._live = []
         self._next_k = 0
+        # the watchdog total is the live sum over controllers, so a
+        # restart's reset shows up in it exactly as before
+        self.progress.completed -= sum(self._completed)
         self._completed = [0] * len(self.children)
         self._stopped = False
         if self.ctrl.chain is not None:
             ctx = LaneContext(self.mem, version)
 
             def evaluate(expr, bnd):
-                return ctx.eval(expr, bnd, {})
+                return ctx.eval(expr, bnd)
 
             self._enum = ChainEnumerator(self.ctrl.chain, evaluate,
                                          bindings)
@@ -154,7 +159,9 @@ class OuterControllerSim(NodeSim):
             raise SimulationError(
                 f"{self.name}: outer counter chains must iterate one "
                 f"step at a time (par=1)")
-        return batch.lane_bindings[0]
+        bindings = dict(batch.outer)
+        bindings[batch.index] = int(batch.inner[0])
+        return bindings
 
     # -- per-cycle ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
@@ -212,6 +219,7 @@ class OuterControllerSim(NodeSim):
                     if not child.busy:
                         it.status[idx] = "done"
                         self._completed[idx] += 1
+                        self.progress.completed += 1
                         moved = True
                         if trace is not None:
                             trace.emit(EventKind.CHILD_DONE, self.name,
@@ -338,6 +346,7 @@ class OuterControllerSim(NodeSim):
             elif it.status[idx] == "running" and not child.busy:
                 it.status[idx] = "done"
                 self._completed[idx] += 1
+                self.progress.completed += 1
                 moved = True
                 if trace is not None:
                     trace.emit(EventKind.CHILD_DONE, self.name,

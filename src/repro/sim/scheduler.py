@@ -54,6 +54,10 @@ SCHEDULER_MODES = ("event", "dense")
 #: executed cycles between voluntary yields of the span generators
 #: (bounds how long one batch instance can monopolise the driver)
 _SPAN_CYCLES = 2048
+#: fast-forward jumps at least this long also end a span; shorter ones
+#: (bank-conflict serialisation, say) keep running, since a resume
+#: costs more than the few cycles it would reorder
+_YIELD_JUMP = 64
 
 
 class Park:
@@ -299,9 +303,8 @@ class EventScheduler:
         """
         m = self.m
         dram = m.dram
-        for channel in dram.channels:
-            if channel.queue:
-                return cycle
+        if dram.queued:
+            return cycle
         wd_trip = last_progress + m.watchdog + 1
         target = wd_trip  # nothing pending: emulate the watchdog spin
         timer = self._next_timer()
@@ -343,8 +346,9 @@ class EventScheduler:
 
     def spans(self, max_cycles: int):
         """Run as a resumable generator, yielding the current cycle at
-        span boundaries (after each fast-forward jump and every
-        ``_SPAN_CYCLES`` executed cycles).
+        span boundaries (after each fast-forward jump of at least
+        ``_YIELD_JUMP`` cycles and every ``_SPAN_CYCLES`` executed
+        cycles).
 
         This is how :func:`repro.sim.batch.run_batch` interleaves many
         instances of one design: each instance's scheduler is advanced
@@ -359,11 +363,13 @@ class EventScheduler:
         trace = m.tracer
         faults = m.faults
         stats = m.stats
+        busy_cycles = stats.busy_cycles
         outers = self.outers
         leaves = self.leaves
         root = m.root
-        dram_tick = m.dram.tick
-        dram_deliver = m.dram.deliver
+        dram = m.dram
+        dram_tick = dram.tick
+        dram_deliver = dram.deliver
         progress_key = m._progress_key
         retire = m.mem.retire_old
         watchdog = m.watchdog
@@ -372,7 +378,7 @@ class EventScheduler:
         last_progress_cycle = 0
         executed = 0
         cycle = m.cycle
-        while root.busy:
+        while root._active:
             cycle += 1
             m.cycle = cycle
             if cycle > max_cycles:
@@ -390,13 +396,15 @@ class EventScheduler:
                         and park.until == until):
                     self._wake(node)
             dram_tick()      # may free queue room -> wakes waiters
-            dram_deliver()   # completions -> wake issuing units
+            due = dram.next_due
+            if due is not None and due <= cycle:
+                dram_deliver()   # completions -> wake issuing units
             for outer in outers:
                 state = outer._sched_state
                 if state == _RUNNING:
                     outer._park = None
                     outer.tick(cycle)
-                    if not outer.busy:
+                    if not outer._active:
                         self._finish_node(outer)
                     elif outer._park is not None:
                         self._park_node(outer)
@@ -408,14 +416,15 @@ class EventScheduler:
                 if state == _RUNNING:
                     leaf._park = None
                     leaf.tick(cycle)
-                    if not leaf.busy:
+                    if not leaf._active:
                         self._finish_node(leaf)
                     elif leaf._park is not None:
                         self._park_node(leaf)
                 elif state == _PARKED:
                     park = leaf._park
-                    if park.busy_unit is not None:
-                        stats.busy(park.busy_unit)
+                    unit = park.busy_unit
+                    if unit is not None:
+                        busy_cycles[unit] = busy_cycles.get(unit, 0) + 1
                     for attr in park.counters:
                         setattr(stats, attr, getattr(stats, attr) + 1)
                     for fifo, attr in park.fifo_counters:
@@ -436,13 +445,15 @@ class EventScheduler:
                 m._raise_deadlock(last_progress_cycle)
             if trace is not None:
                 trace.end_cycle()
-            if self.num_running == 0 and root.busy:
+            if self.num_running == 0 and root._active and not dram.queued:
                 jumped = self._fast_forward(cycle, last_progress_cycle,
                                             max_cycles)
                 if jumped != cycle:
+                    skipped = jumped - cycle
                     cycle = jumped
                     m.cycle = cycle
-                    yield cycle
+                    if skipped >= _YIELD_JUMP:
+                        yield cycle
             if executed % _SPAN_CYCLES == 0:
                 yield cycle
         self.executed_cycles += executed

@@ -100,6 +100,8 @@ class ScratchpadSim:
             del self.versions[version]
 
     # -- timing ------------------------------------------------------------------
+    # pricing takes one vector's flat addresses as an int array (any
+    # integer sequence works)
     def read_extra(self, flat_addrs: Sequence[int]) -> int:
         """Pure conflict cost of one vector of lane reads (no counter
         side effects) — memoizable per banking configuration."""
@@ -131,7 +133,7 @@ class ScratchpadSim:
         """
         stride = self.sram.bank_stride
         counts: Dict[int, int] = {}
-        for addr in set(flat_addrs):
+        for addr in set(np.asarray(flat_addrs).tolist()):
             bank = (addr // stride) % self.banks
             counts[bank] = counts.get(bank, 0) + 1
         worst = max(counts.values(), default=1)
@@ -186,6 +188,8 @@ class MemoryState:
     """All on-chip memory state for one running application."""
 
     def __init__(self, srams, regs, banks: int = 16):
+        #: banks per scratchpad (uniform across one machine)
+        self.banks = banks
         self.scratchpads: Dict[str, ScratchpadSim] = {
             s.name: ScratchpadSim(s, banks) for s in srams}
         self.registers: Dict[str, RegSim] = {r.name: RegSim(r) for r in regs}

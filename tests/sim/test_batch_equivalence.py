@@ -16,6 +16,8 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim import Machine
 from repro.sim.batch import instantiate, run_batch
 
+from tests.sim.test_scheduler_equivalence import scratchpad_counters
+
 #: mixed timing overrides exercised across the whole registry: the
 #: as-compiled design, a shallow/re-banked one, and a deep pipeline on
 #: a throttled DRAM queue
@@ -55,6 +57,8 @@ def assert_batch_equivalent(source, params, scheduler="event"):
             np.testing.assert_array_equal(
                 buf, inst.machine.image.buffers[name],
                 err_msg=f"instance {i}: DRAM image {name!r} diverges")
+        assert scratchpad_counters(inst.machine) == \
+            scratchpad_counters(solo), f"instance {i}: scratchpad counters"
     return batch
 
 

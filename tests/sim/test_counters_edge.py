@@ -63,7 +63,8 @@ def test_enumerator_strided_iteration_still_works():
         batch = enum.next_batch()
         if batch is None:
             break
-        seen.extend(lane[chain.indices[0]] for lane in batch.lane_bindings)
+        assert batch.index is chain.indices[0]
+        seen.extend(batch.inner.tolist())
     assert seen == [0, 3, 6, 9]
 
 

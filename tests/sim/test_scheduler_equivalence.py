@@ -25,6 +25,12 @@ from repro.sim import AgAssignment, FabricConfig, LeafTiming, Machine
 from repro.trace import RingTracer
 
 
+def scratchpad_counters(machine):
+    """Every scratchpad's (reads, writes, conflict cycles)."""
+    return {name: (sp.reads, sp.writes, sp.conflict_cycles)
+            for name, sp in machine.mem.scratchpads.items()}
+
+
 def _run(compiled, scheduler, traced=False):
     tracer = RingTracer(sample=4) if traced else None
     machine = Machine(compiled.dhdl, compiled.config, tracer=tracer,
@@ -42,6 +48,8 @@ def test_registry_stats_identical(app):
     md, sd, _ = _run(compiled, "dense")
     me, se, _ = _run(compiled, "event")
     assert dataclasses.asdict(sd) == dataclasses.asdict(se)
+    # SimStats can agree while per-scratchpad pricing drifts
+    assert scratchpad_counters(md) == scratchpad_counters(me)
     for name in expected:
         np.testing.assert_array_equal(md.result(name), me.result(name))
     app.check(program, {n: me.result(n) for n in expected}, expected)
@@ -55,6 +63,19 @@ def test_registry_attribution_identical(app):
     _, se, re_ = _run(compiled, "event", traced=True)
     assert dataclasses.asdict(sd) == dataclasses.asdict(se)
     assert rd.render() == re_.render()
+
+
+@pytest.mark.parametrize("app_name,sram,reads", [
+    # counter-bound loads (ptr[i], ptr[i+1]) are priced with the next
+    # vector issue
+    ("smdv", "ptr_buf", 2288),
+    # emit values load only on lanes whose condition holds
+    ("bfs", "cand_buf", 550)])
+def test_scratchpad_read_pins_at_small(app_name, sram, reads):
+    from repro.apps import get_app
+    compiled = compile_program(get_app(app_name).build("small"))
+    machine, _, _ = _run(compiled, "event")
+    assert machine.mem.scratchpads[sram].reads == reads
 
 
 def test_event_scheduler_fast_forwards():

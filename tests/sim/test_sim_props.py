@@ -104,9 +104,10 @@ def test_chain_enumerator_covers_rectangle(rows, cols, par):
         if batch is None:
             break
         assert 1 <= batch.lanes <= par
-        # one batch never crosses an outer-dim boundary
-        assert len({lane[i] for lane in batch.lane_bindings}) == 1
-        seen.extend((lane[i], lane[j]) for lane in batch.lane_bindings)
+        # one batch shares its outer bindings: it never crosses an
+        # outer-dim boundary
+        assert batch.index is j
+        seen.extend((batch.outer[i], c) for c in batch.inner.tolist())
     assert sorted(seen) == [(r, c) for r in range(rows)
                             for c in range(cols)]
     assert len(set(seen)) == len(seen)
